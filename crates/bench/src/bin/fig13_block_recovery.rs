@@ -5,8 +5,9 @@
 //! until the promoted spare finished *metadata* recovery (probed with a
 //! warm-up key whose data lives in a replicated memgest), then measure
 //! the first get of the victim object — which triggers the online
-//! decode: the parity node collects `k` lane blocks from the survivors
-//! and reconstructs the range.
+//! decode: the promoted coordinator fans shard reads out to the
+//! surviving data peers and `1 + Δ` parity nodes, and reconstructs the
+//! range from the first `k` stripe rows to arrive.
 //!
 //! Expected shape: latency grows with block size; SRS21 recovers faster
 //! than SRS31/SRS32 (2 blocks to collect instead of 3).

@@ -13,6 +13,10 @@ use crate::types::{GroupId, Key, MemgestId, ReqId, Scheme, Version};
 
 use super::{Node, OnCommit, PendingPut, StalledPut, DEDUP_CAP};
 
+/// Cap on on-demand recovery attempts per entry, shared by the REP
+/// fetch retry, the SRS shard-read re-issue and the background sweep.
+const MAX_FETCH_ATTEMPTS: u8 = 8;
+
 impl<T: Transport<Msg>> Node<T> {
     pub(crate) fn handle_request(&mut self, from: NodeId, req: ReqId, body: ClientReq) {
         // At-most-once for writes: a re-delivered `(client, req)` must
@@ -552,13 +556,9 @@ impl<T: Transport<Msg>> Node<T> {
             steps::ReadDecision::Postpone | steps::ReadDecision::Recover => {}
         }
         // Lost data: recover on the fly with high priority (Section 5.5).
-        let need_fetch = !entry.fetching;
-        entry.fetching = true;
         entry.waiters.push(Waiter::Get(client));
         let (addr, len) = (entry.addr, entry.len);
-        let attempt = entry.fetch_attempts;
-        entry.fetch_attempts = entry.fetch_attempts.wrapping_add(1);
-        if need_fetch {
+        if let Some(attempt) = entry.begin_fetch() {
             self.request_data_recovery(g, shard, mid, scheme, key, version, addr, len, attempt);
         }
     }
@@ -659,13 +659,9 @@ impl<T: Transport<Msg>> Node<T> {
             return;
         }
         if !entry.data_present {
-            let need_fetch = !entry.fetching;
-            entry.fetching = true;
             entry.waiters.push(Waiter::Move { client, dst });
             let (addr, len) = (entry.addr, entry.len);
-            let attempt = entry.fetch_attempts;
-            entry.fetch_attempts = entry.fetch_attempts.wrapping_add(1);
-            if need_fetch {
+            if let Some(attempt) = entry.begin_fetch() {
                 self.request_data_recovery(g, shard, src, scheme, key, version, addr, len, attempt);
             }
             return;
@@ -722,7 +718,8 @@ impl<T: Transport<Msg>> Node<T> {
     /// Sends the on-demand recovery request for a missing value,
     /// speculatively fanning out to `1 + Δ` redundancy targets (rotated
     /// by attempt number so a dead or still-rebuilding holder cannot
-    /// wedge the waiters) and binding to whichever answers first.
+    /// wedge the waiters) and binding to whichever answers first. A
+    /// failed attempt comes back through [`Node::retry_data_recovery`].
     #[allow(clippy::too_many_arguments)]
     fn request_data_recovery(
         &mut self,
@@ -757,27 +754,9 @@ impl<T: Transport<Msg>> Node<T> {
                     }
                 }
             }
-            Scheme::Srs { m, .. } => {
-                if self.start_spec_read(g, shard, mid, addr, len, attempt) {
-                    return;
-                }
-                // Degenerate range (or no parity targets): the delegated
-                // single-parity decode still covers it.
-                let targets = self.config.parity_targets(g, m);
-                if !targets.is_empty() {
-                    let parity = targets[attempt as usize % targets.len()];
-                    let _ = self.ep.send(
-                        parity,
-                        Msg::RecoverBlock {
-                            group: g,
-                            memgest: mid,
-                            shard,
-                            addr,
-                            len,
-                        },
-                    );
-                }
-            }
+            // An empty value has no bytes to decode: install it locally.
+            Scheme::Srs { .. } if len == 0 => self.install_recovered_range(g, mid, addr, &[]),
+            Scheme::Srs { .. } => self.start_spec_read(g, shard, mid, addr, len, attempt),
         }
     }
 
@@ -785,9 +764,7 @@ impl<T: Transport<Msg>> Node<T> {
     /// requests the `k - 1` surviving lane blocks from the peer
     /// coordinators plus the matching parity bytes from `1 + Δ` parity
     /// nodes, and decodes locally from whichever `k` stripe rows arrive
-    /// first ([`Node::handle_shard_read_resp`]). Returns `false` when the
-    /// fan-out cannot be built (empty range, no parity targets, unknown
-    /// memgest) and the caller should fall back to the delegated decode.
+    /// first ([`Node::handle_shard_read_resp`]). `len` must be non-zero.
     fn start_spec_read(
         &mut self,
         g: GroupId,
@@ -796,24 +773,18 @@ impl<T: Transport<Msg>> Node<T> {
         addr: usize,
         len: usize,
         attempt: u8,
-    ) -> bool {
+    ) {
         use super::{SpecPeer, SpecRead};
         let Some(coord) = self.groups.get(&g).and_then(|gs| gs.coord.get(&mid)) else {
-            return false;
+            return;
         };
         let CoordStore::Srs { layout, .. } = &coord.store else {
-            return false;
+            return;
         };
         let segs = layout.split_range(shard, addr, len);
-        if segs.is_empty() {
-            return false;
-        }
         let params = layout.code().params();
         let (k, m) = (params.k, params.m);
         let parity_nodes = self.config.parity_targets(g, m);
-        if parity_nodes.is_empty() {
-            return false;
-        }
         // The surviving lane peers: every stripe row of each segment
         // except our own (each data source lives on exactly one peer
         // coordinator, so these rows have a single possible server).
@@ -883,11 +854,9 @@ impl<T: Transport<Msg>> Node<T> {
                 responses: std::collections::BTreeMap::new(),
                 declined: std::collections::BTreeSet::new(),
                 reserve,
-                attempt,
                 sent_at: ring_net::clock::now(),
             },
         );
-        true
     }
 
     /// Fan-in of a speculative shard read. Responses for unknown tokens
@@ -927,13 +896,13 @@ impl<T: Transport<Msg>> Node<T> {
 
     /// Tries to decode; if the read is still short of `k` rows for some
     /// segment, promotes reserve parities to keep it satisfiable, or
-    /// abandons it for the delegated-decode fallback.
+    /// abandons it once the reserve is exhausted.
     fn advance_spec_read(&mut self, token: u64) {
         if self.try_complete_spec_read(token) {
             return;
         }
         let mut sends: Vec<(NodeId, Msg)> = Vec::new();
-        let mut fall_back = false;
+        let mut abandon = false;
         {
             let Some(sr) = self.spec_reads.get_mut(&token) else {
                 return;
@@ -950,7 +919,7 @@ impl<T: Transport<Msg>> Node<T> {
                     break;
                 }
                 let Some((p_idx, node)) = sr.reserve.pop() else {
-                    fall_back = true;
+                    abandon = true;
                     break;
                 };
                 let mut peer = super::SpecPeer {
@@ -975,9 +944,9 @@ impl<T: Transport<Msg>> Node<T> {
                 sr.peers.insert(node, peer);
             }
         }
-        if fall_back {
+        if abandon {
             let sr = self.spec_reads.remove(&token).expect("present");
-            self.spec_read_fallback(sr);
+            self.abandon_spec_read(sr);
             return;
         }
         for (node, msg) in sends {
@@ -1034,41 +1003,32 @@ impl<T: Transport<Msg>> Node<T> {
         true
     }
 
-    /// Abandons a speculative read in favour of the pre-speculation
-    /// path: a delegated decode at a single parity node (which gathers
-    /// the lane blocks itself with one-sided reads).
-    fn spec_read_fallback(&mut self, sr: super::SpecRead) {
-        let Some(gs) = self.groups.get(&sr.group) else {
+    /// Hands every still-missing entry of an abandoned speculative read
+    /// to [`Node::retry_data_recovery`], which re-issues it with the next
+    /// attempt number (so the parity rotation moves on) or fails it.
+    fn abandon_spec_read(&mut self, sr: super::SpecRead) {
+        let Some(coord) = self
+            .groups
+            .get(&sr.group)
+            .and_then(|gs| gs.coord.get(&sr.memgest))
+        else {
             return;
         };
-        let Some(shard) = gs.shard else {
-            return;
-        };
-        let Some(coord) = gs.coord.get(&sr.memgest) else {
-            return;
-        };
-        let Scheme::Srs { m, .. } = coord.desc.scheme else {
-            return;
-        };
-        let targets = self.config.parity_targets(sr.group, m);
-        if targets.is_empty() {
-            return;
+        let missing: Vec<(Key, Version)> = coord
+            .meta
+            .iter()
+            .filter(|(_, _, e)| {
+                e.fetching && !e.data_present && e.addr == sr.addr && e.len == sr.len
+            })
+            .map(|(k, v, _)| (k, v))
+            .collect();
+        for (key, version) in missing {
+            self.retry_data_recovery(sr.group, sr.memgest, key, version);
         }
-        let parity = targets[sr.attempt as usize % targets.len()];
-        let _ = self.ep.send(
-            parity,
-            Msg::RecoverBlock {
-                group: sr.group,
-                memgest: sr.memgest,
-                shard,
-                addr: sr.addr,
-                len: sr.len,
-            },
-        );
     }
 
     /// Expires speculative reads whose stragglers never arrived (dead
-    /// links), handing the range to the fallback path.
+    /// links) and abandons them for a rotated retry.
     pub(crate) fn expire_spec_reads(&mut self, now: std::time::Instant) {
         const SPEC_RETRY: std::time::Duration = std::time::Duration::from_millis(150);
         let expired: Vec<u64> = self
@@ -1079,14 +1039,13 @@ impl<T: Transport<Msg>> Node<T> {
             .collect();
         for t in expired {
             let sr = self.spec_reads.remove(&t).expect("present");
-            self.spec_read_fallback(sr);
+            self.abandon_spec_read(sr);
         }
     }
 
     /// Writes a recovered byte range into the SRS heap, marks every
     /// entry fully contained in it as present, and releases their parked
-    /// requests (shared by the speculative decode and the delegated
-    /// `RecoverBlockResp` path).
+    /// requests (the speculative decode, or an empty value in place).
     pub(crate) fn install_recovered_range(
         &mut self,
         g: GroupId,
@@ -1197,42 +1156,22 @@ impl<T: Transport<Msg>> Node<T> {
         version: Version,
         value: Option<Payload>,
     ) {
-        let Some(gs) = self.groups.get_mut(&g) else {
+        let Some(value) = value else {
+            // This replica did not have the copy: try the next target.
+            self.retry_data_recovery(g, mid, key, version);
             return;
         };
-        let Some(coord) = gs.coord.get_mut(&mid) else {
+        let Some(coord) = self
+            .groups
+            .get_mut(&g)
+            .and_then(|gs| gs.coord.get_mut(&mid))
+        else {
             return;
         };
         let Some(entry) = coord.meta.get_mut(key, version) else {
             return;
         };
         entry.fetching = false;
-        let Some(value) = value else {
-            // This replica did not have the copy: retry the remaining
-            // targets a few times, then fail the waiters.
-            if !entry.waiters.is_empty() && entry.fetch_attempts < 8 {
-                let scheme = coord.desc.scheme;
-                let shard = gs.shard.expect("coordinator");
-                let coord = gs.coord.get_mut(&mid).expect("just looked up");
-                let entry = coord.meta.get_mut(key, version).expect("just looked up");
-                entry.fetching = true;
-                let attempt = entry.fetch_attempts;
-                entry.fetch_attempts = entry.fetch_attempts.wrapping_add(1);
-                let (addr, len) = (entry.addr, entry.len);
-                self.request_data_recovery(g, shard, mid, scheme, key, version, addr, len, attempt);
-                return;
-            }
-            let waiters = std::mem::take(&mut entry.waiters);
-            for w in waiters {
-                let (Waiter::Get(client) | Waiter::Move { client, .. }) = w;
-                self.respond(
-                    client.0,
-                    client.1,
-                    ClientResp::Error(RingError::Unavailable("value copy lost".into())),
-                );
-            }
-            return;
-        };
         entry.data_present = true;
         let waiters = std::mem::take(&mut entry.waiters);
         if let CoordStore::Rep { values } = &mut coord.store {
@@ -1241,50 +1180,40 @@ impl<T: Transport<Msg>> Node<T> {
         self.release_waiters(g, mid, vec![(key, version, waiters)]);
     }
 
-    /// Handles a decoded block arriving from a parity node.
-    pub(crate) fn handle_recover_block_resp(
-        &mut self,
-        g: GroupId,
-        mid: MemgestId,
-        addr: usize,
-        bytes: Option<Payload>,
-    ) {
+    /// Follows a failed recovery attempt (a replica without the copy, an
+    /// expired or infeasible shard read): re-issues it with the next
+    /// attempt number while requests wait and the cap allows, otherwise
+    /// clears `fetching` — so a later get starts afresh — and fails the
+    /// parked requests.
+    fn retry_data_recovery(&mut self, g: GroupId, mid: MemgestId, key: Key, version: Version) {
         let Some(gs) = self.groups.get_mut(&g) else {
+            return;
+        };
+        let Some(shard) = gs.shard else {
             return;
         };
         let Some(coord) = gs.coord.get_mut(&mid) else {
             return;
         };
-        // Write the recovered range into the heap, then release every
-        // entry fully contained in it.
-        let Some(bytes) = bytes else {
-            // The parity could not serve (dead link or mid-rebuild):
-            // retry the range against the next parity target.
-            let scheme = coord.desc.scheme;
-            let shard = match gs.shard {
-                Some(s) => s,
-                None => return,
-            };
-            let retry: Vec<(Key, Version, usize, usize, u8)> = coord
-                .meta
-                .iter()
-                .filter(|(_, _, e)| e.fetching && !e.data_present && e.addr >= addr)
-                .map(|(k, v, e)| (k, v, e.addr, e.len, e.fetch_attempts))
-                .collect();
-            for &(k, v, _, _, _) in &retry {
-                if let Some(e) = coord.meta.get_mut(k, v) {
-                    e.fetch_attempts = e.fetch_attempts.wrapping_add(1);
-                }
-            }
-            for (k, v, a, l, attempt) in retry {
-                if attempt >= 8 {
-                    continue;
-                }
-                self.request_data_recovery(g, shard, mid, scheme, k, v, a, l, attempt);
-            }
+        let scheme = coord.desc.scheme;
+        let Some(entry) = coord.meta.get_mut(key, version) else {
             return;
         };
-        self.install_recovered_range(g, mid, addr, &bytes);
+        entry.fetching = false;
+        if !entry.waiters.is_empty() && entry.fetch_attempts < MAX_FETCH_ATTEMPTS {
+            let attempt = entry.begin_fetch().expect("fetching was just cleared");
+            let (addr, len) = (entry.addr, entry.len);
+            self.request_data_recovery(g, shard, mid, scheme, key, version, addr, len, attempt);
+            return;
+        }
+        for w in std::mem::take(&mut entry.waiters) {
+            let (Waiter::Get(client) | Waiter::Move { client, .. }) = w;
+            self.respond(
+                client.0,
+                client.1,
+                ClientResp::Error(RingError::Unavailable("value copy lost".into())),
+            );
+        }
     }
 
     /// Builds and returns this node's introspection report.
@@ -1386,22 +1315,26 @@ impl<T: Transport<Msg>> Node<T> {
                     continue;
                 };
                 let scheme = coord.desc.scheme;
-                let candidates: Vec<(Key, Version, usize, usize, u8)> = coord
+                let candidates: Vec<(Key, Version)> = coord
                     .meta
                     .iter()
                     .filter(|(_, _, e)| {
-                        !e.data_present && !e.tombstone && !e.fetching && e.fetch_attempts < 8
+                        !e.data_present
+                            && !e.tombstone
+                            && !e.fetching
+                            && e.fetch_attempts < MAX_FETCH_ATTEMPTS
                     })
                     .take(PER_SWEEP - issued)
-                    .map(|(k, v, e)| (k, v, e.addr, e.len, e.fetch_attempts))
+                    .map(|(k, v, _)| (k, v))
                     .collect();
-                for &(k, v, _, _, _) in &candidates {
-                    if let Some(e) = coord.meta.get_mut(k, v) {
-                        e.fetching = true;
-                        e.fetch_attempts = e.fetch_attempts.wrapping_add(1);
-                    }
-                }
-                for (k, v, addr, len, attempt) in candidates {
+                let issue: Vec<_> = candidates
+                    .into_iter()
+                    .filter_map(|(k, v)| {
+                        let e = coord.meta.get_mut(k, v)?;
+                        Some((k, v, e.addr, e.len, e.begin_fetch()?))
+                    })
+                    .collect();
+                for (k, v, addr, len, attempt) in issue {
                     self.request_data_recovery(g, shard, mid, scheme, k, v, addr, len, attempt);
                     issued += 1;
                 }

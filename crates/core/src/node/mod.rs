@@ -213,9 +213,6 @@ pub(crate) struct SpecRead {
     /// Parity nodes held in reserve as `(parity index, node)`; promoted
     /// one at a time when a contacted peer declines.
     pub reserve: Vec<(usize, NodeId)>,
-    /// Fetch-attempt counter inherited from the triggering entry; seeds
-    /// the parity rotation and the single-target fallback.
-    pub attempt: u8,
     pub sent_at: Instant,
 }
 
@@ -519,19 +516,6 @@ impl<T: Transport<Msg>> Node<T> {
                 version,
                 value,
             } => self.handle_fetch_value_resp(group, memgest, key, version, value),
-            Msg::RecoverBlock {
-                group,
-                memgest,
-                shard,
-                addr,
-                len,
-            } => self.handle_recover_block(from, group, memgest, shard, addr, len),
-            Msg::RecoverBlockResp {
-                group,
-                memgest,
-                addr,
-                bytes,
-            } => self.handle_recover_block_resp(group, memgest, addr, bytes),
             Msg::ParityRebuildStart { group, memgest } => {
                 self.handle_parity_rebuild_start(from, group, memgest)
             }

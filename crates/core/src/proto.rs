@@ -333,31 +333,6 @@ pub enum Msg {
         /// The bytes, or `None` if this replica does not hold them.
         value: Option<Payload>,
     },
-    /// New data node -> parity node: decode my lost heap range
-    /// (on-the-fly block recovery, Section 5.5).
-    RecoverBlock {
-        /// Memgest group.
-        group: GroupId,
-        /// The memgest.
-        memgest: MemgestId,
-        /// Shard (data-node index) of the requester.
-        shard: usize,
-        /// Heap address of the lost range.
-        addr: usize,
-        /// Length of the lost range.
-        len: usize,
-    },
-    /// Parity node -> data node: the decoded bytes.
-    RecoverBlockResp {
-        /// Memgest group.
-        group: GroupId,
-        /// The memgest.
-        memgest: MemgestId,
-        /// Heap address.
-        addr: usize,
-        /// Decoded bytes (`None` if reconstruction failed).
-        bytes: Option<Payload>,
-    },
     /// Speculative reader -> shard holder: late-binding shard read.
     /// Return the concatenated bytes of `ranges` from your heap for
     /// this memgest — the data heap when `parity == false` (addressed
@@ -455,8 +430,6 @@ impl Msg {
             Msg::MetaFetchResp { .. } => "MetaFetchResp",
             Msg::FetchValue { .. } => "FetchValue",
             Msg::FetchValueResp { .. } => "FetchValueResp",
-            Msg::RecoverBlock { .. } => "RecoverBlock",
-            Msg::RecoverBlockResp { .. } => "RecoverBlockResp",
             Msg::ShardRead { .. } => "ShardRead",
             Msg::ShardReadResp { .. } => "ShardReadResp",
             Msg::ParityRebuildStart { .. } => "ParityRebuildStart",
@@ -495,9 +468,6 @@ impl WireSize for Msg {
                 Msg::FetchValueResp { value, .. } => {
                     24 + value.as_ref().map(|v| v.len()).unwrap_or(0)
                 }
-                Msg::RecoverBlockResp { bytes, .. } => {
-                    16 + bytes.as_ref().map(|b| b.len()).unwrap_or(0)
-                }
                 Msg::ShardRead { ranges, .. } => 24 + ranges.len() * 16,
                 Msg::ShardReadResp { bytes, .. } => {
                     24 + bytes.as_ref().map(|b| b.len()).unwrap_or(0)
@@ -518,7 +488,6 @@ impl WireSize for Msg {
                 | Msg::SetDefault { .. }
                 | Msg::MetaFetch { .. }
                 | Msg::FetchValue { .. }
-                | Msg::RecoverBlock { .. }
                 | Msg::ParityRebuildStart { .. }
                 | Msg::ParityRebuildDone { .. } => 24,
             }

@@ -84,6 +84,19 @@ impl ObjectEntry {
             waiters: Vec::new(),
         }
     }
+
+    /// Marks an on-demand recovery as in flight and returns its attempt
+    /// number (which rotates the redundancy targets), or `None` when one
+    /// is already in flight.
+    pub(crate) fn begin_fetch(&mut self) -> Option<u8> {
+        if self.fetching {
+            return None;
+        }
+        self.fetching = true;
+        let attempt = self.fetch_attempts;
+        self.fetch_attempts = self.fetch_attempts.wrapping_add(1);
+        Some(attempt)
+    }
 }
 
 /// The per-memgest metadata hashtable: `(key, version) -> entry`.

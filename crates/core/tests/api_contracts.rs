@@ -134,15 +134,15 @@ fn msg_kind_names_cover_planes() {
         "MetaFetch"
     );
     assert_eq!(
-        Msg::RecoverBlock {
+        Msg::ShardRead {
             group: 0,
             memgest: 0,
-            shard: 0,
-            addr: 0,
-            len: 1
+            token: 0,
+            parity: true,
+            ranges: vec![(0, 1)]
         }
         .kind(),
-        "RecoverBlock"
+        "ShardRead"
     );
 }
 

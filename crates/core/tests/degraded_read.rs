@@ -171,3 +171,120 @@ fn full_fanout_tolerates_dead_parity_without_retry() {
     }
     cluster.shutdown();
 }
+
+/// Puts `keys` × `len`-byte values into SRS(3,2) and returns those
+/// coordinated by `shard_node`, with their values.
+fn put_srs_victims(
+    cluster: &Cluster,
+    client: &mut ring_kvs::RingClient,
+    keys: std::ops::Range<u64>,
+    len: impl Fn(u64) -> usize,
+    shard_node: u32,
+) -> Vec<(u64, Vec<u8>)> {
+    let mut victims = Vec::new();
+    for key in keys {
+        let value = vec![(key % 211) as u8 + 1; len(key)];
+        client.put_to(key, &value, 6).unwrap(); // SRS(3,2).
+        if cluster.coordinator_of(key) == shard_node {
+            victims.push((key, value));
+        }
+    }
+    victims
+}
+
+/// Kills coordinator 0 and burns one victim as the promotion probe:
+/// once it reads back, spare 5 coordinates shard 0 with metadata-only
+/// holes for every remaining victim.
+fn kill_and_promote(
+    cluster: &Cluster,
+    client: &mut ring_kvs::RingClient,
+    victims: &mut Vec<(u64, Vec<u8>)>,
+) {
+    cluster.kill(0);
+    let (probe_key, probe_value) = victims.remove(0);
+    let v = get_eventually(client, probe_key, Duration::from_secs(15))
+        .unwrap_or_else(|e| panic!("promotion probe key {probe_key}: {e}"));
+    assert_eq!(v, probe_value);
+}
+
+/// A promoted coordinator cut off from both data peers can reach only
+/// the two parity rows, short of `k = 3`: its gets must fail rather
+/// than answer. Parity 3 is also cut off from peer 1, so a decode
+/// relayed through it would miss that lane too. Once the links heal,
+/// every victim reads back intact.
+#[test]
+fn partitioned_promoted_coordinator_never_returns_wrong_bytes() {
+    let cluster = Cluster::start(spec_with_spares(1));
+    let mut client = cluster.client();
+    let mut victims = put_srs_victims(&cluster, &mut client, 500..800, |_| 700, 0);
+    assert!(victims.len() >= 7, "need several keys on shard 0");
+    kill_and_promote(&cluster, &mut client, &mut victims);
+
+    let cuts = [(5, 1), (5, 2), (3, 1)];
+    for &(a, b) in &cuts {
+        cluster.fabric().fail_link(a, b);
+    }
+    for (key, value) in victims.iter().take(6) {
+        match client.get(*key) {
+            Ok(v) => assert!(&v == value, "key {key}: wrong bytes under partition"),
+            Err(RingError::Unavailable(_) | RingError::Timeout) => {}
+            Err(e) => panic!("key {key}: unexpected error {e}"),
+        }
+    }
+
+    for &(a, b) in &cuts {
+        cluster.fabric().heal_link(a, b);
+    }
+    for (key, value) in victims {
+        let v = get_eventually(&mut client, key, Duration::from_secs(15))
+            .unwrap_or_else(|e| panic!("key {key} after heal: {e}"));
+        assert_eq!(v, value, "key {key} after heal");
+    }
+    cluster.shutdown();
+}
+
+/// With `read_fanout_extra = 0` each shard read asks one parity. When
+/// that first choice is silent (its link to the promoted coordinator is
+/// cut), the expired read is re-issued against the next parity, so
+/// every get completes well inside its deadline.
+#[test]
+fn silent_first_choice_parity_rotates_at_zero_extra_fanout() {
+    let cluster = Cluster::start(ClusterSpec {
+        read_fanout_extra: 0,
+        ..spec_with_spares(1)
+    });
+    let mut client = cluster.client();
+    let mut victims = put_srs_victims(&cluster, &mut client, 500..800, |_| 700, 0);
+    assert!(victims.len() >= 5, "need several keys on shard 0");
+    kill_and_promote(&cluster, &mut client, &mut victims);
+
+    cluster.fabric().fail_link(5, 3);
+    for (key, value) in victims.into_iter().take(4) {
+        let v = get_eventually(&mut client, key, Duration::from_secs(3))
+            .unwrap_or_else(|e| panic!("key {key} behind a silent parity: {e}"));
+        assert_eq!(v, value);
+    }
+    cluster.shutdown();
+}
+
+/// Empty SRS values occupy no heap bytes; after a coordinator kill the
+/// promoted spare installs them locally, with no shard read, while the
+/// non-empty values between them decode as usual.
+#[test]
+fn zero_length_values_survive_coordinator_kill() {
+    let cluster = Cluster::start(spec_with_spares(1));
+    let mut client = cluster.client();
+    let len = |key: u64| if key.is_multiple_of(2) { 0 } else { 300 };
+    let mut victims = put_srs_victims(&cluster, &mut client, 500..620, len, 0);
+    assert!(
+        victims.iter().filter(|(_, v)| v.is_empty()).count() >= 2,
+        "need several empty values on shard 0"
+    );
+    kill_and_promote(&cluster, &mut client, &mut victims);
+    for (key, value) in victims {
+        let v = get_eventually(&mut client, key, Duration::from_secs(15))
+            .unwrap_or_else(|e| panic!("key {key}: {e}"));
+        assert_eq!(v, value, "key {key}");
+    }
+    cluster.shutdown();
+}
