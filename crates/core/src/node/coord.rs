@@ -159,10 +159,7 @@ impl<T: Transport<Msg>> Node<T> {
             coord.meta.insert(
                 key,
                 version,
-                ObjectEntry {
-                    data_present: false,
-                    ..ObjectEntry::new(value.len(), usize::MAX, tombstone)
-                },
+                ObjectEntry::placeholder(value.len(), tombstone),
             );
             gs.stalled.entry(mid).or_default().push(StalledPut {
                 key,
@@ -488,7 +485,7 @@ impl<T: Transport<Msg>> Node<T> {
         let decision = steps::read_decision(&steps::ReadEntry {
             committed: entry.committed,
             tombstone: entry.tombstone,
-            data_present: entry.data_present,
+            data_present: entry.data_present(),
         });
         if decision == steps::ReadDecision::Postpone {
             // Postpone until the pinned version commits (Figure 5).
@@ -532,7 +529,7 @@ impl<T: Transport<Msg>> Node<T> {
         match steps::read_decision(&steps::ReadEntry {
             committed: true,
             tombstone: entry.tombstone,
-            data_present: entry.data_present,
+            data_present: entry.data_present(),
         }) {
             steps::ReadDecision::NotFound => {
                 self.respond(
@@ -658,7 +655,7 @@ impl<T: Transport<Msg>> Node<T> {
             entry.waiters.push(Waiter::Move { client, dst });
             return;
         }
-        if !entry.data_present {
+        if !entry.data_present() {
             entry.waiters.push(Waiter::Move { client, dst });
             let (addr, len) = (entry.addr, entry.len);
             if let Some(attempt) = entry.begin_fetch() {
@@ -1016,11 +1013,13 @@ impl<T: Transport<Msg>> Node<T> {
         };
         let missing: Vec<(Key, Version)> = coord
             .meta
-            .iter()
-            .filter(|(_, _, e)| {
-                e.fetching && !e.data_present && e.addr == sr.addr && e.len == sr.len
+            .missing_within(sr.addr, sr.addr + sr.len)
+            .filter(|&(k, v)| {
+                coord
+                    .meta
+                    .get(k, v)
+                    .is_some_and(|e| e.fetching && e.addr == sr.addr && e.len == sr.len)
             })
-            .map(|(k, v, _)| (k, v))
             .collect();
         for (key, version) in missing {
             self.retry_data_recovery(sr.group, sr.memgest, key, version);
@@ -1069,16 +1068,10 @@ impl<T: Transport<Msg>> Node<T> {
         } else {
             return;
         }
-        let recovered: Vec<(Key, Version)> = coord
-            .meta
-            .iter()
-            .filter(|(_, _, e)| !e.data_present && e.addr >= addr && e.addr + e.len <= end)
-            .map(|(k, v, _)| (k, v))
-            .collect();
-        let mut releases = Vec::new();
+        let recovered: Vec<(Key, Version)> = coord.meta.missing_within(addr, end).collect();
+        let mut releases = Vec::with_capacity(recovered.len());
         for (k, v) in recovered {
-            if let Some(e) = coord.meta.get_mut(k, v) {
-                e.data_present = true;
+            if let Some(e) = coord.meta.mark_present(k, v) {
                 e.fetching = false;
                 releases.push((k, v, std::mem::take(&mut e.waiters)));
             }
@@ -1099,7 +1092,7 @@ impl<T: Transport<Msg>> Node<T> {
         let gs = self.groups.get(&g)?;
         let coord = gs.coord.get(&mid)?;
         let e = coord.meta.get(key, version)?;
-        if e.tombstone || !e.committed || !e.data_present {
+        if e.tombstone || !e.committed || !e.data_present() {
             return None;
         }
         Some(match &coord.store {
@@ -1168,11 +1161,10 @@ impl<T: Transport<Msg>> Node<T> {
         else {
             return;
         };
-        let Some(entry) = coord.meta.get_mut(key, version) else {
+        let Some(entry) = coord.meta.mark_present(key, version) else {
             return;
         };
         entry.fetching = false;
-        entry.data_present = true;
         let waiters = std::mem::take(&mut entry.waiters);
         if let CoordStore::Rep { values } = &mut coord.store {
             values.insert((key, version), value);
@@ -1249,11 +1241,7 @@ impl<T: Transport<Msg>> Node<T> {
                 if let Some(c) = gs.coord.get(&id) {
                     row.scheme = crate::stats::scheme_label(c.desc.scheme);
                     row.coord_meta_entries = c.meta.len();
-                    row.missing_entries = c
-                        .meta
-                        .iter()
-                        .filter(|(_, _, e)| !e.data_present && !e.tombstone)
-                        .count();
+                    row.missing_entries = c.meta.hole_count();
                     row.coord_meta_bytes = c.meta.approx_bytes();
                     row.data_bytes = match &c.store {
                         // ring-lint: allow(hashmap-iteration) -- order-insensitive byte sum
@@ -1315,11 +1303,13 @@ impl<T: Transport<Msg>> Node<T> {
                     continue;
                 };
                 let scheme = coord.desc.scheme;
+                // Uncommitted holes are stalled puts' placeholders: they
+                // have no bytes anywhere to recover.
                 let candidates: Vec<(Key, Version)> = coord
                     .meta
-                    .iter()
+                    .missing()
                     .filter(|(_, _, e)| {
-                        !e.data_present
+                        e.committed
                             && !e.tombstone
                             && !e.fetching
                             && e.fetch_attempts < MAX_FETCH_ATTEMPTS

@@ -287,23 +287,18 @@ impl<T: Transport<Msg>> Node<T> {
             // every 150ms.
             return;
         }
-        let mut data_valid = true;
+        // A hole from our own recovery: the heap bytes are not
+        // trustworthy for re-encoding.
+        let data_valid = coord.meta.hole_count() == 0;
         let entries: Vec<MetaEntry> = coord
             .meta
             .iter()
-            .map(|(key, version, e)| {
-                if !e.data_present && !e.tombstone {
-                    // A hole from our own recovery: the heap bytes are
-                    // not trustworthy for re-encoding.
-                    data_valid = false;
-                }
-                MetaEntry {
-                    key,
-                    version,
-                    len: e.len,
-                    addr: e.addr,
-                    tombstone: e.tombstone,
-                }
+            .map(|(key, version, e)| MetaEntry {
+                key,
+                version,
+                len: e.len,
+                addr: e.addr,
+                tombstone: e.tombstone,
             })
             .collect();
         let heap_len = match &coord.store {

@@ -261,11 +261,7 @@ impl<T: Transport<Msg>> Node<T> {
         let gs = self.groups.get(&g)?;
         gs.shard?;
         let coord = gs.coord.get(&mid)?;
-        let holey = coord
-            .meta
-            .iter()
-            .any(|(_, _, e)| !e.data_present && !e.tombstone);
-        if holey {
+        if coord.meta.hole_count() > 0 {
             return None;
         }
         let CoordStore::Srs { heap, .. } = &coord.store else {

@@ -32,6 +32,10 @@ pub enum Waiter {
 }
 
 /// Metadata of one `(key, version)` instance inside a memgest.
+///
+/// `len`, `addr` and `tombstone` describe the write and never change
+/// once the entry is in a [`MetaTable`]; presence changes only through
+/// the table, which indexes the entries without local bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObjectEntry {
     /// Value length in bytes.
@@ -44,7 +48,7 @@ pub struct ObjectEntry {
     pub tombstone: bool,
     /// True if the value bytes are locally readable (false right after
     /// metadata-only recovery, until fetched or decoded on demand).
-    pub data_present: bool,
+    data_present: bool,
     /// True while an on-demand data recovery for this entry is in
     /// flight.
     pub fetching: bool,
@@ -85,6 +89,20 @@ impl ObjectEntry {
         }
     }
 
+    /// The placeholder of a put stalled behind a parity rebuild: it
+    /// reserves the version but has no heap address or bytes yet.
+    pub fn placeholder(len: usize, tombstone: bool) -> ObjectEntry {
+        ObjectEntry {
+            data_present: false,
+            ..ObjectEntry::new(len, usize::MAX, tombstone)
+        }
+    }
+
+    /// True if the value bytes are locally readable.
+    pub fn data_present(&self) -> bool {
+        self.data_present
+    }
+
     /// Marks an on-demand recovery as in flight and returns its attempt
     /// number (which rotates the redundancy targets), or `None` when one
     /// is already in flight.
@@ -100,9 +118,18 @@ impl ObjectEntry {
 }
 
 /// The per-memgest metadata hashtable: `(key, version) -> entry`.
+///
+/// It also indexes the entries whose bytes are not locally present, so
+/// the degraded paths ask "what is missing" without walking every key:
+/// the table is the only place an entry's presence changes.
 #[derive(Debug, Default)]
 pub struct MetaTable {
     map: BTreeMap<Key, BTreeMap<Version, ObjectEntry>>,
+    /// Entries without local bytes, tombstones included:
+    /// `(addr, key, version) -> len`.
+    missing: BTreeMap<(usize, Key, Version), usize>,
+    /// Members of `missing` that are not tombstones: the holes.
+    holes: usize,
 }
 
 impl MetaTable {
@@ -113,7 +140,62 @@ impl MetaTable {
 
     /// Inserts (or replaces) an entry.
     pub fn insert(&mut self, key: Key, version: Version, entry: ObjectEntry) {
-        self.map.entry(key).or_default().insert(version, entry);
+        let missing = (!entry.data_present).then_some((entry.addr, entry.len, entry.tombstone));
+        if let Some(old) = self.map.entry(key).or_default().insert(version, entry) {
+            self.unindex(key, version, &old);
+        }
+        if let Some((addr, len, tombstone)) = missing {
+            self.missing.insert((addr, key, version), len);
+            self.holes += usize::from(!tombstone);
+        }
+    }
+
+    /// Drops a removed or replaced entry from the missing index.
+    fn unindex(&mut self, key: Key, version: Version, e: &ObjectEntry) {
+        if !e.data_present {
+            self.missing.remove(&(e.addr, key, version));
+            self.holes -= usize::from(!e.tombstone);
+        }
+    }
+
+    /// Records that an entry's bytes are now locally present (fetched
+    /// or decoded) and returns it, or `None` if there is no such entry.
+    pub fn mark_present(&mut self, key: Key, version: Version) -> Option<&mut ObjectEntry> {
+        let e = self.map.get_mut(&key)?.get_mut(&version)?;
+        if !e.data_present {
+            e.data_present = true;
+            self.missing.remove(&(e.addr, key, version));
+            self.holes -= usize::from(!e.tombstone);
+        }
+        Some(e)
+    }
+
+    /// Number of holes: entries without local bytes that are not
+    /// tombstones, a stalled put's placeholder included.
+    pub fn hole_count(&self) -> usize {
+        self.holes
+    }
+
+    /// Entries without local bytes, tombstones included, in
+    /// `(addr, key, version)` order.
+    pub fn missing(&self) -> impl Iterator<Item = (Key, Version, &ObjectEntry)> {
+        self.missing
+            .keys()
+            .filter_map(|&(_, k, v)| Some((k, v, self.get(k, v)?)))
+    }
+
+    /// Entries without local bytes whose heap range lies inside
+    /// `[start, end)`, in address order. Never returns a stalled put's
+    /// placeholder, which has no heap address.
+    pub fn missing_within(
+        &self,
+        start: usize,
+        end: usize,
+    ) -> impl Iterator<Item = (Key, Version)> + '_ {
+        self.missing
+            .range((start, Key::MIN, Version::MIN)..=(end, Key::MAX, Version::MAX))
+            .filter(move |&(&(addr, _, _), &len)| addr != usize::MAX && len <= end - addr)
+            .map(|(&(_, k, v), _)| (k, v))
     }
 
     /// Looks an entry up.
@@ -138,6 +220,9 @@ impl MetaTable {
         if versions.is_empty() {
             self.map.remove(&key);
         }
+        if let Some(e) = &out {
+            self.unindex(key, version, e);
+        }
         out
     }
 
@@ -156,6 +241,9 @@ impl MetaTable {
         }
         if versions.is_empty() {
             self.map.remove(&key);
+        }
+        for (v, e) in &out {
+            self.unindex(key, *v, e);
         }
         out
     }
@@ -531,12 +619,96 @@ mod tests {
     }
 
     #[test]
+    fn recovered_range_never_returns_a_stalled_placeholder() {
+        let mut t = MetaTable::new();
+        t.insert(1, 1, ObjectEntry::recovered(100, 0, false));
+        t.insert(2, 1, ObjectEntry::placeholder(100, false));
+        assert_eq!(t.hole_count(), 2);
+        assert_eq!(t.missing_within(0, 100).collect::<Vec<_>>(), vec![(1, 1)]);
+        assert_eq!(
+            t.missing_within(0, usize::MAX).collect::<Vec<_>>(),
+            vec![(1, 1)]
+        );
+        t.mark_present(1, 1).expect("entry exists");
+        assert_eq!(t.hole_count(), 1);
+        assert_eq!(t.missing_within(0, usize::MAX).count(), 0);
+    }
+
+    #[test]
     fn recovered_entries_are_committed_without_data() {
         let e = ObjectEntry::recovered(10, 5, false);
         assert!(e.committed);
-        assert!(!e.data_present);
+        assert!(!e.data_present());
         let f = ObjectEntry::new(10, 5, true);
         assert!(!f.committed);
         assert!(f.tombstone);
+    }
+
+    mod missing_index {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Reference: the full table walk the index replaces, entries
+        /// without local bytes that pass `keep`, in address order.
+        fn scan(t: &MetaTable, keep: impl Fn(&ObjectEntry) -> bool) -> Vec<(Key, Version)> {
+            let mut out: Vec<(usize, Key, Version)> = t
+                .iter()
+                .filter(|(_, _, e)| !e.data_present() && keep(e))
+                .map(|(k, v, e)| (e.addr, k, v))
+                .collect();
+            out.sort_unstable();
+            out.into_iter().map(|(_, k, v)| (k, v)).collect()
+        }
+
+        /// One table operation over a small key/version/address space,
+        /// so replacements, removals and overlapping ranges are common.
+        fn apply(t: &mut MetaTable, (op, key, version, addr, len): (u8, u64, u64, usize, usize)) {
+            let (addr, len) = (addr * 8, len * 4);
+            match op {
+                0 => t.insert(key, version, ObjectEntry::new(len, addr, false)),
+                1 => t.insert(key, version, ObjectEntry::recovered(len, addr, false)),
+                2 => t.insert(key, version, ObjectEntry::recovered(0, addr, true)),
+                3 => t.insert(
+                    key,
+                    version,
+                    ObjectEntry::placeholder(len, version % 2 == 0),
+                ),
+                4 => {
+                    t.remove(key, version);
+                }
+                5 => {
+                    t.remove_below(key, version);
+                }
+                _ => {
+                    t.mark_present(key, version);
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn index_matches_full_scans(
+                ops in proptest::collection::vec((0u8..7, 0u64..5, 0u64..5, 0usize..12, 0usize..5), 1..80),
+                probes in proptest::collection::vec((0usize..100, 0usize..40).prop_map(|(s, n)| (s, s + n)), 4),
+            ) {
+                let mut t = MetaTable::new();
+                for op in ops {
+                    apply(&mut t, op);
+                    prop_assert_eq!(t.hole_count(), scan(&t, |e| !e.tombstone).len());
+                    let missing: Vec<(Key, Version)> = t.missing().map(|(k, v, _)| (k, v)).collect();
+                    prop_assert_eq!(missing, scan(&t, |_| true));
+                    let whole = (0, usize::MAX);
+                    for &(start, end) in probes.iter().chain([&whole]) {
+                        let got: Vec<(Key, Version)> = t.missing_within(start, end).collect();
+                        let want = scan(&t, |e| {
+                            e.addr != usize::MAX && e.addr >= start && e.addr + e.len <= end
+                        });
+                        prop_assert_eq!(got, want);
+                    }
+                }
+            }
+        }
     }
 }

@@ -94,3 +94,43 @@ fn without_background_recovery_entries_stay_missing() {
     );
     cluster.shutdown();
 }
+
+/// A put stalled behind a parity rebuild leaves an uncommitted
+/// placeholder without a heap address. It is a hole, but there are no
+/// bytes anywhere to recover: the sweep must leave it alone, and the
+/// put commits once the rebuild finishes.
+#[test]
+fn background_sweep_skips_stalled_put_placeholders() {
+    let cluster = Cluster::start(spec(true));
+    let mut client = cluster.client();
+    let key = (0..100u64)
+        .find(|&k| cluster.coordinator_of(k) == 0)
+        .unwrap();
+    client.put_to(key, &[1u8; 300], 6).unwrap(); // SRS(3,2).
+
+    // Spare 5 replaces parity 3 but cannot reach coordinator 1, so the
+    // rebuild never finishes and coordinator 0 stays stalled.
+    cluster.fabric().fail_link(5, 1);
+    cluster.kill(3);
+    std::thread::sleep(Duration::from_millis(600));
+    client.put_async(key, &[2u8; 300], Some(6)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while missing_on(&mut client, 0) != Some(1) {
+        assert!(Instant::now() < deadline, "stalled put left no placeholder");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    // Several sweep ticks pass over the placeholder.
+    std::thread::sleep(Duration::from_millis(400));
+    assert_eq!(missing_on(&mut client, 0), Some(1));
+
+    cluster.fabric().heal_link(5, 1);
+    let deadline = Instant::now() + Duration::from_secs(15);
+    loop {
+        match client.get(key) {
+            Ok(v) if v == [2u8; 300] => break,
+            _ if Instant::now() >= deadline => panic!("stalled put never committed"),
+            _ => std::thread::sleep(Duration::from_millis(25)),
+        }
+    }
+    cluster.shutdown();
+}

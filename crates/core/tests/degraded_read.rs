@@ -288,3 +288,31 @@ fn zero_length_values_survive_coordinator_kill() {
     }
     cluster.shutdown();
 }
+
+/// A promoted coordinator still holding metadata-only holes declines
+/// peer shard reads: with spare 5 holey on shard 0, spare 6 promoted
+/// for shard 1 must decode from node 2 and the parities, never from
+/// the zeros in spare 5's holes.
+#[test]
+fn holey_promoted_coordinator_declines_peer_shard_reads() {
+    let cluster = Cluster::start(spec_with_spares(2));
+    let mut client = cluster.client();
+    let mut victims = put_srs_victims(&cluster, &mut client, 500..800, |_| 700, 0);
+    let shard1: Vec<(u64, Vec<u8>)> = (500..800u64)
+        .filter(|&key| cluster.coordinator_of(key) == 1)
+        .map(|key| (key, vec![(key % 211) as u8 + 1; 700]))
+        .collect();
+    assert!(victims.len() >= 2, "need several keys on shard 0");
+    assert!(shard1.len() >= 2, "need several keys on shard 1");
+    kill_and_promote(&cluster, &mut client, &mut victims);
+
+    // Once the first shard-1 key reads back, spare 6 coordinates shard
+    // 1; spare 5 still has a hole for every remaining shard-0 victim.
+    cluster.kill(1);
+    for (key, value) in shard1 {
+        let v = get_eventually(&mut client, key, Duration::from_secs(15))
+            .unwrap_or_else(|e| panic!("key {key}: {e}"));
+        assert!(v == value, "key {key}: wrong bytes");
+    }
+    cluster.shutdown();
+}
